@@ -221,6 +221,7 @@ func gateScan(base, fresh string, tol float64) {
 			failf("scan %q: %.1f disk reads/pass vs baseline %.1f", fp.Mode, fp.DiskReadsPerPass, bp.DiskReadsPerPass)
 		}
 	}
+	gateScanCache(f)
 	// Self-invariant of the fresh run: reverse scans must cost the same
 	// leaf fetches as forward ones (doubly linked leaves). Enforced here
 	// rather than inside the bench runner so the skip label covers it.
@@ -233,6 +234,46 @@ func gateScan(base, fresh string, tol float64) {
 		}
 	}
 	gateParallelScan(b, f, tol)
+}
+
+// maxSlotProbesPerRow bounds the cache-first scan's index-cache slot
+// reads per row. The per-leaf rid→slot probe costs one build pass over
+// the leaf's slots plus one re-verify per row: ~2.6 at the bench's 0.4
+// fill factor (~245 slots for ~154 rows per leaf). A per-row linear
+// walk over the slots, the cost this bound keeps out, reads ~120.
+const maxSlotProbesPerRow = 4.0
+
+// gateScanCache holds the fresh run to the paper's §2.1 claim on scans,
+// both in-run so they hold on any machine: a row served from index-leaf
+// free space must be cheaper than the heap row it replaces (cache-first
+// at least as fast as heap-only), and the cache probe's work per row
+// must stay O(1).
+func gateScanCache(f experiments.ScanResult) {
+	var cache, heap *experiments.ScanPoint
+	for i := range f.Points {
+		switch f.Points[i].Mode {
+		case "cursor-cache-first":
+			cache = &f.Points[i]
+		case "cursor-heap-only":
+			heap = &f.Points[i]
+		}
+	}
+	if cache == nil || heap == nil {
+		failf("scan: cursor-cache-first and cursor-heap-only points must both be present")
+		return
+	}
+	if cache.RowsPerSec < heap.RowsPerSec {
+		failf("scan: cache-first %.0f rows/s < heap-only %.0f in the same run — the §2.1 cache loses to the heap",
+			cache.RowsPerSec, heap.RowsPerSec)
+	} else {
+		okf("cache-first %.0f rows/s ≥ heap-only %.0f (same run)", cache.RowsPerSec, heap.RowsPerSec)
+	}
+	if cache.SlotProbesPerRow > maxSlotProbesPerRow {
+		failf("scan: cache-first reads %.2f cache slots per row (bound %.0f) — the per-row probe is no longer O(1)",
+			cache.SlotProbesPerRow, maxSlotProbesPerRow)
+	} else {
+		okf("cache-first %.2f slot probes/row (bound %.0f)", cache.SlotProbesPerRow, maxSlotProbesPerRow)
+	}
 }
 
 // gateParallelScan holds the parallel segmented-scan series to its

@@ -8,9 +8,9 @@ import (
 // DeprecatedInternal keeps the engine's own packages off APIs marked
 // Deprecated:. The public surface keeps them for compatibility (and
 // experiments may measure them — with a //nolint:nblb-deprecated and a
-// reason), but internal code and cmd/ reaching for Table.Scan or
-// Tree.Scan instead of the Query/Cursor replacements re-entrenches the
-// path the deprecation exists to retire.
+// reason), but internal code and cmd/ reaching for a deprecated wrapper
+// instead of its replacement re-entrenches the path the deprecation
+// exists to retire.
 //
 // The declaring function itself, its siblings in the same deprecated
 // family (a deprecated wrapper calling another deprecated wrapper), and

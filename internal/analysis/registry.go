@@ -103,11 +103,11 @@ var BuiltinCarriers = []string{
 	"repro/internal/btree.latchedNode",
 }
 
-// BuiltinDeprecated mirrors the Deprecated: doc markers for unit mode.
-var BuiltinDeprecated = map[string]string{
-	"repro/internal/core.Table.Scan": "Deprecated: Scan is a thin wrapper over Query; use Query.",
-	"repro/internal/btree.Tree.Scan": "Deprecated: Scan is a thin wrapper over the pinned-frame Cursor; use NewCursor.",
-}
+// BuiltinDeprecated mirrors the Deprecated: doc markers for unit mode,
+// keyed "importpath.Type.Method" (or "importpath.Func"). The repo has
+// no deprecated APIs today; the deprecated_basic fixture exercises the
+// doc-marker path.
+var BuiltinDeprecated = map[string]string{}
 
 // CrashMatrixPoints are the wal.TestPoint names with a corresponding
 // crash-matrix case (core/crash_test.go, core/crash_txn_test.go). The

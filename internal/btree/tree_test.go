@@ -125,12 +125,13 @@ func TestTreeScan(t *testing.T) {
 		tr.Insert(intKey(i), uint64(i))
 	}
 	var got []uint64
-	err := tr.Scan(intKey(50), intKey(100), func(k []byte, v uint64) bool {
-		got = append(got, v)
-		return true
-	})
-	if err != nil {
-		t.Fatalf("Scan: %v", err)
+	c := tr.NewCursor(intKey(50), intKey(100))
+	for c.Next() {
+		got = append(got, c.Value())
+	}
+	c.Close()
+	if err := c.Err(); err != nil {
+		t.Fatalf("cursor: %v", err)
 	}
 	if len(got) != 50 {
 		t.Fatalf("scan returned %d values, want 50", len(got))
@@ -142,15 +143,28 @@ func TestTreeScan(t *testing.T) {
 	}
 	// Full scan.
 	count := 0
-	tr.Scan(nil, nil, func(k []byte, v uint64) bool { count++; return true })
+	c = tr.NewCursor(nil, nil)
+	for c.Next() {
+		count++
+	}
+	c.Close()
 	if count != 300 {
 		t.Errorf("full scan %d values, want 300", count)
 	}
-	// Early stop.
+	// Early stop: Close mid-range releases the pin.
 	count = 0
-	tr.Scan(nil, nil, func(k []byte, v uint64) bool { count++; return count < 10 })
+	c = tr.NewCursor(nil, nil)
+	for c.Next() {
+		if count++; count == 10 {
+			break
+		}
+	}
+	c.Close()
 	if count != 10 {
 		t.Errorf("early-stop scan %d values, want 10", count)
+	}
+	if n := tr.pool.PinnedFrames(); n != 0 {
+		t.Errorf("%d frames still pinned after the scans", n)
 	}
 }
 
@@ -195,13 +209,17 @@ func TestTreeRandomizedAgainstModel(t *testing.T) {
 	}
 	sort.Strings(keys)
 	i := 0
-	tr.Scan(nil, nil, func(k []byte, v uint64) bool {
-		if i >= len(keys) || !bytes.Equal(k, []byte(keys[i])) {
+	c := tr.NewCursor(nil, nil)
+	for c.Next() {
+		if i >= len(keys) || !bytes.Equal(c.Key(), []byte(keys[i])) {
 			t.Fatalf("scan position %d: key mismatch", i)
 		}
 		i++
-		return true
-	})
+	}
+	c.Close()
+	if err := c.Err(); err != nil {
+		t.Fatalf("cursor: %v", err)
+	}
 	if i != len(keys) {
 		t.Fatalf("scan visited %d keys, want %d", i, len(keys))
 	}

@@ -464,16 +464,16 @@ func (ix *Index) aggSegmentPushdown(seg btree.Segment, bounds []aggBound, fp *fi
 		keyVals  []tuple.Value
 		heapRow  tuple.Row
 		heapBuf  []byte
+		kc       keyCheck
 	)
 	var bopts []btree.CursorOption
 	if cacheNeeded {
+		probe := ix.cache.ScanProbe()
+		defer probe.Release()
 		bopts = append(bopts, btree.WithEntryVisitor(func(l *btree.Leaf, pos int) {
-			hit := false
-			if ix.cache.Prepare(l) {
-				if pl, ok := ix.cache.LookupInto(payloads, l, l.ValueAt(pos)); ok {
-					payloads = pl
-					hit = true
-				}
+			pl, hit := probe.EntryInto(payloads, l, pos)
+			if hit {
+				payloads = pl
 			}
 			if len(poffs) == 0 {
 				poffs = append(poffs, 0)
@@ -560,6 +560,9 @@ func (ix *Index) aggSegmentPushdown(seg btree.Segment, bounds []aggBound, fp *fi
 				}
 				heapRow = row
 				st.stats.HeapReads++
+				if !kc.matches(ix, key, row) {
+					continue // RID reused since the entry was read: its row is gone
+				}
 				if fp != nil && !fp.passRow(row) {
 					continue
 				}

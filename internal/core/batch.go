@@ -375,7 +375,7 @@ func (t *Table) applySync(ops []batchOp, st []opState, res *Result, cfg applyCon
 				// Insert and meta land in one exclusive section so a heap
 				// scanner that copied the new row's bytes always finds its
 				// born stamp when it takes the read lock to check.
-				t.vers.mu.Lock()
+				t.vers.lockWrite()
 				rid, err = t.file.Insert(st[i].rec)
 				if err == nil {
 					t.vers.set(rid, versionMeta{born: cfg.stamp})
@@ -569,7 +569,7 @@ func (t *Table) applyGrouped(ops []batchOp, st []opState, res *Result, cfg apply
 	if len(insRecs) > 0 {
 		rids := make([]storage.RID, len(insRecs))
 		if cfg.stamp != 0 {
-			t.vers.mu.Lock()
+			t.vers.lockWrite()
 		}
 		placed, err := t.file.InsertRunFill(insRecs, rids, cfg.fill)
 		if cfg.stamp != 0 {

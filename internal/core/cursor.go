@@ -6,6 +6,7 @@ import (
 	"iter"
 
 	"repro/internal/btree"
+	"repro/internal/idxcache"
 	"repro/internal/storage"
 	"repro/internal/tuple"
 )
@@ -182,10 +183,12 @@ type indexSource struct {
 	fp       *filterPlan
 	keyKinds []tuple.Kind
 	keyVals  []tuple.Value
+	probe    *idxcache.ScanProbe // nil unless the scan probes the cache
 	payload  []byte
 	hit      bool
 	heapRow  tuple.Row
 	heapBuf  []byte
+	kc       keyCheck
 	snap     uint64 // read timestamp (snapLatest outside transactions)
 }
 
@@ -198,6 +201,7 @@ func (s *indexSource) step(c *Cursor) bool {
 		c.stats.LeafFetches = s.bt.LeafFetches()
 		c.rid = storage.UnpackRID(s.bt.Value())
 		c.key = s.bt.Key()
+		entryRID := c.rid
 		// MVCC visibility. Unique entries point at the newest version
 		// under the key; a pinned snapshot may need an older one, reached
 		// through the prev chain. Non-unique entries (and latest reads,
@@ -271,6 +275,9 @@ func (s *indexSource) step(c *Cursor) bool {
 		}
 		s.heapRow = row
 		c.stats.HeapReads++
+		if c.rid == entryRID && !s.kc.matches(s.ix, s.bt.Key(), row) {
+			continue // RID reused since the entry was read: its row is gone
+		}
 		if s.fp != nil && !s.fp.passRow(row) {
 			continue
 		}
@@ -279,7 +286,13 @@ func (s *indexSource) step(c *Cursor) bool {
 	}
 }
 
-func (s *indexSource) close() { s.bt.Close() }
+func (s *indexSource) close() {
+	s.bt.Close()
+	if s.probe != nil {
+		s.probe.Release()
+		s.probe = nil
+	}
+}
 
 // --- heap-order source ---------------------------------------------------
 

@@ -420,13 +420,19 @@ func TestTableScanDecodes(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		tb.Insert(pageRow(i))
 	}
-	seen := 0
-	err := tb.Scan(func(rid storage.RID, row tuple.Row) bool {
-		seen++
-		return true
-	})
+	cur, err := tb.Query()
 	if err != nil {
-		t.Fatalf("Scan: %v", err)
+		t.Fatalf("Query: %v", err)
+	}
+	seen := 0
+	for rid, row := range cur.All() {
+		if rid == storage.InvalidRID || len(row) != pagesSchema().NumFields() {
+			t.Fatalf("row %d: rid %v, %d fields", seen, rid, len(row))
+		}
+		seen++
+	}
+	if err := cur.Err(); err != nil {
+		t.Fatalf("Query: %v", err)
 	}
 	if seen != 25 {
 		t.Errorf("scanned %d rows", seen)

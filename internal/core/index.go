@@ -339,6 +339,35 @@ func (ix *Index) CachedFieldNames() []string {
 	return names
 }
 
+// keyCheck is reusable scratch for checking that a heap row still
+// belongs to the index entry a scan read. A scan copies entries out
+// under the leaf latch and fetches their rows after dropping it; a
+// delete committing in between frees the row's RID, and an insert may
+// reuse it for another row, which must not be served under this key.
+type keyCheck struct {
+	vals []tuple.Value
+	buf  []byte
+}
+
+// matches reports whether row, fetched at the RID the entry carried,
+// still holds the entry's key.
+func (kc *keyCheck) matches(ix *Index, key []byte, row tuple.Row) bool {
+	kc.vals = kc.vals[:0]
+	for _, pos := range ix.keyFields {
+		kc.vals = append(kc.vals, row[pos])
+	}
+	enc, err := tuple.EncodeKey(kc.buf[:0], kc.vals...)
+	kc.buf = enc[:0]
+	if err != nil {
+		return false
+	}
+	if !ix.unique {
+		// Non-unique entries carry the RID suffix after the key fields.
+		return len(key) == len(enc)+8 && bytes.Equal(key[:len(enc)], enc)
+	}
+	return bytes.Equal(key, enc)
+}
+
 // entryKey builds the stored key for a row: the encoded key fields,
 // plus the packed RID for non-unique indexes (disambiguation suffix).
 func (ix *Index) entryKey(row tuple.Row, rid storage.RID) ([]byte, error) {

@@ -23,6 +23,11 @@ type lookupScratch struct {
 
 var lookupScratchPool = sync.Pool{New: func() any { return new(lookupScratch) }}
 
+// testHookAfterHeapFetch, when set by a test, runs in lookupInLeaf
+// between the heap fetch and the cache fill — the window a racing
+// update must not be able to turn into a stale cache entry.
+var testHookAfterHeapFetch func()
+
 // LookupResult describes how a point lookup was answered — the paper's
 // three-tier hierarchy made observable.
 type LookupResult struct {
@@ -113,19 +118,25 @@ func (ix *Index) lookupInLeaf(l *btree.Leaf, key []byte, keyVals []tuple.Value, 
 	}
 	res.Found = true
 	res.RID = rid
+	// Prepare before anything is read: it applies the predicate log up
+	// to its head and records that head in the page. An update whose
+	// heap write lands after this point logs its predicate after it
+	// too, so the next Prepare zeroes whatever this visit installs.
+	// Preparing after the heap fetch instead would apply a racing
+	// update's predicate before installing the pre-update row, leaving
+	// a stale entry with nothing pending against it. A shared-latch
+	// visit of an uncoverable plan neither probes nor fills, so it
+	// skips Prepare.
+	prepared := ix.cache != nil && (plan.coverable || l.Exclusive()) && ix.cache.Prepare(l)
 	// Only probe the cache when the plan can be answered from it — an
 	// uncoverable projection would scan the slots just to throw the
 	// payload away.
-	prepared := false
-	if ix.cache != nil && plan.coverable {
-		prepared = ix.cache.Prepare(l)
-		if prepared {
-			if payload, ok := ix.cache.LookupInto(sc.payload[:0], l, packed); ok {
-				sc.payload = payload[:0]
-				if row, ok := ix.assembleInto(dst, keyVals, payload, plan); ok {
-					res.CacheHit = true
-					return row, res, nil
-				}
+	if prepared && plan.coverable {
+		if payload, ok := ix.cache.LookupInto(sc.payload[:0], l, packed); ok {
+			sc.payload = payload[:0]
+			if row, ok := ix.assembleInto(dst, keyVals, payload, plan); ok {
+				res.CacheHit = true
+				return row, res, nil
 			}
 		}
 	}
@@ -136,7 +147,10 @@ func (ix *Index) lookupInLeaf(l *btree.Leaf, key []byte, keyVals []tuple.Value, 
 	if gerr != nil {
 		return nil, res, gerr
 	}
-	if ix.cache != nil && l.Exclusive() && (prepared || ix.cache.Prepare(l)) {
+	if testHookAfterHeapFetch != nil {
+		testHookAfterHeapFetch()
+	}
+	if prepared && l.Exclusive() {
 		if payload, ok := ix.encodePayloadInto(sc.payload[:0], row); ok {
 			sc.payload = payload[:0]
 			if ix.cache.Insert(l, packed, payload) {

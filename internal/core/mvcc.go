@@ -72,6 +72,17 @@ type versionStore struct {
 	any atomic.Bool
 }
 
+// lockWrite takes mu exclusively for a writer about to add versioned
+// heap records, raising any first. A reader that can reach one of the
+// new records got there after its heap insert, so it then also sees
+// any and waits on mu for the record's meta; raising any only in set,
+// after the insert, would let it take the meta-less fast path and read
+// the uncommitted record as visible to every snapshot.
+func (vs *versionStore) lockWrite() {
+	vs.any.Store(true)
+	vs.mu.Lock()
+}
+
 // set installs meta for rid (caller holds mu exclusively).
 func (vs *versionStore) set(rid storage.RID, m versionMeta) {
 	if vs.m == nil {

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/btree"
+	"repro/internal/idxcache"
 	"repro/internal/storage"
 	"repro/internal/tuple"
 )
@@ -188,6 +189,7 @@ func (p *parallelSource) run(n int) {
 				defer p.wg.Done()
 				defer close(p.chans[si])
 				w := p.newWorker()
+				defer w.release()
 				if err := w.scanSegment(si, func(b *RowBlock) bool { return p.send(p.chans[si], b) }); err != nil {
 					p.setErr(err)
 				}
@@ -206,6 +208,7 @@ func (p *parallelSource) run(n int) {
 		go func() {
 			defer p.wg.Done()
 			w := p.newWorker()
+			defer w.release()
 			for {
 				si := int(next.Add(1)) - 1
 				if si >= len(p.segs) {
@@ -353,6 +356,7 @@ func (p *parallelSource) close() {
 type segWorker struct {
 	p        *parallelSource
 	useCache bool
+	probe    *idxcache.ScanProbe // set when useCache
 	needKey  bool
 	eb       btree.EntryBlock
 	hits     []bool
@@ -361,25 +365,34 @@ type segWorker struct {
 	keyVals  []tuple.Value
 	heapRow  tuple.Row
 	heapBuf  []byte
+	kc       keyCheck
 }
 
 func (p *parallelSource) newWorker() *segWorker {
 	w := &segWorker{p: p}
 	w.useCache = p.ix.useScanCache(p.policy, p.plan, p.fp)
 	w.needKey = (w.useCache && p.plan.coverable) || (p.fp != nil && len(p.fp.key) > 0)
+	if w.useCache {
+		w.probe = p.ix.cache.ScanProbe()
+	}
 	return w
+}
+
+// release returns the worker's cache probe; run defers it when the
+// worker goroutine exits.
+func (w *segWorker) release() {
+	if w.probe != nil {
+		w.probe.Release()
+	}
 }
 
 // visit captures the cache probe for one served entry. Runs under the
 // shared leaf latch, aligned one-to-one with the entries NextBlock
 // pushes.
 func (w *segWorker) visit(l *btree.Leaf, pos int) {
-	hit := false
-	if w.p.ix.cache.Prepare(l) {
-		if pl, ok := w.p.ix.cache.LookupInto(w.payloads, l, l.ValueAt(pos)); ok {
-			w.payloads = pl
-			hit = true
-		}
+	pl, hit := w.probe.EntryInto(w.payloads, l, pos)
+	if hit {
+		w.payloads = pl
 	}
 	if len(w.poffs) == 0 {
 		w.poffs = append(w.poffs, 0)
@@ -440,7 +453,8 @@ func (w *segWorker) scanSegment(si int, send func(*RowBlock) bool) error {
 func (w *segWorker) resolve(blk *RowBlock, i int) error {
 	p := w.p
 	key := w.eb.Key(i)
-	rid := storage.UnpackRID(w.eb.Value(i))
+	entryRID := storage.UnpackRID(w.eb.Value(i))
+	rid := entryRID
 	hit := false
 	var payload []byte
 	if w.useCache && w.hits[i] {
@@ -505,6 +519,9 @@ func (w *segWorker) resolve(blk *RowBlock, i int) error {
 	}
 	w.heapRow = row
 	blk.stats.HeapReads++
+	if rid == entryRID && !w.kc.matches(p.ix, key, row) {
+		return nil // RID reused since the entry was read: its row is gone
+	}
 	if fp != nil && !fp.passRow(row) {
 		return nil
 	}

@@ -257,12 +257,10 @@ func (ix *Index) newIndexSource(start, end []byte, plan *projPlan, fp *filterPla
 	if ix.useScanCache(policy, plan, fp) {
 		// Probe the cache under the latch the cursor already holds: the
 		// §2.1.1 leaf-answer flow, batched into the scan.
+		s.probe = ix.cache.ScanProbe()
 		bopts = append(bopts, btree.WithEntryVisitor(func(l *btree.Leaf, pos int) {
 			s.hit = false
-			if !ix.cache.Prepare(l) {
-				return
-			}
-			if p, ok := ix.cache.LookupInto(s.payload[:0], l, l.ValueAt(pos)); ok {
+			if p, ok := s.probe.EntryInto(s.payload[:0], l, pos); ok {
 				s.payload = p
 				s.hit = true
 			}

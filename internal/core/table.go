@@ -245,23 +245,3 @@ func (t *Table) GetInto(dst tuple.Row, buf []byte, rid storage.RID) (tuple.Row, 
 	row, _, err := tuple.DecodeInto(dst, t.schema, rec)
 	return row, rec[:0], err
 }
-
-// Scan iterates over all rows in heap order. The row passed to fn is
-// only valid during the call (Clone to retain).
-//
-// Deprecated: Scan is a thin wrapper over Query; new code should use
-// Query, which adds projection, limits, reverse order, and index-order
-// iteration behind the same cursor.
-func (t *Table) Scan(fn func(rid storage.RID, row tuple.Row) bool) error {
-	c, err := t.Query()
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	for c.Next() {
-		if !fn(c.RID(), c.Row()) {
-			return nil
-		}
-	}
-	return c.Err()
-}

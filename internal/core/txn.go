@@ -445,7 +445,7 @@ func (tx *Txn) commitEffects(ts uint64) ([]*tableUndo, error) {
 		undo = append(undo, u)
 		t.mu.RLock()
 		vs := &t.vers
-		vs.mu.Lock()
+		vs.lockWrite()
 		var delta int64
 		for i := range tt.ops {
 			op := &tt.ops[i]

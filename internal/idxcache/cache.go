@@ -20,6 +20,11 @@ type Stats struct {
 	PageInvalidations int64 // page caches zeroed (CSN mismatch or predicate hit)
 	FullInvalidations int64 // CSNidx bumps
 	SkippedNoLatch    int64 // cache writes abandoned: exclusive latch unavailable
+	// SlotProbes counts free-region slots read to answer lookups: every
+	// slot a linear lookup walks, every slot a ScanProbe's build pass
+	// reads, and each ScanProbe hit's re-verify. It is the
+	// machine-independent work count behind a lookup's cost.
+	SlotProbes int64
 }
 
 // HitRate returns Hits/Lookups, or 0 before any lookup.
@@ -47,11 +52,13 @@ type Cache struct {
 	rngState atomic.Uint64
 
 	scratch sync.Pool // *[]int rank buffers
+	probes  sync.Pool // *ScanProbe, recycled across scans
 
 	lookups, hits, misses     atomic.Int64
 	inserts, evictions, swaps atomic.Int64
 	pageInval, fullInval      atomic.Int64
 	skipped                   atomic.Int64
+	slotProbes                atomic.Int64
 }
 
 // Config parameterizes a Cache.
@@ -123,6 +130,7 @@ func (c *Cache) Stats() Stats {
 		PageInvalidations: c.pageInval.Load(),
 		FullInvalidations: c.fullInval.Load(),
 		SkippedNoLatch:    c.skipped.Load(),
+		SlotProbes:        c.slotProbes.Load(),
 	}
 }
 
@@ -227,22 +235,33 @@ func (c *Cache) LookupInto(dst []byte, l *btree.Leaf, rid uint64) ([]byte, bool)
 		return nil, false
 	}
 	lo, hi := l.FreeRegion()
-	e := c.entrySize
 	data := l.Data()
-	first := (lo + e - 1) / e * e
-	for off := first; off+e <= hi; off += e {
-		if binary.LittleEndian.Uint64(data[off:]) != rid {
-			continue
-		}
-		payload := append(dst, data[off+ridBytes:off+e]...)
-		if l.Exclusive() {
-			c.promoteAt(l, data, off, lo, hi)
-		}
-		c.hits.Add(1)
-		return payload, true
+	off, probed := c.findSlot(data, lo, hi, rid)
+	c.slotProbes.Add(int64(probed))
+	if off < 0 {
+		c.misses.Add(1)
+		return nil, false
 	}
-	c.misses.Add(1)
-	return nil, false
+	payload := append(dst, data[off+ridBytes:off+c.entrySize]...)
+	if l.Exclusive() {
+		c.promoteAt(l, data, off, lo, hi)
+	}
+	c.hits.Add(1)
+	return payload, true
+}
+
+// findSlot walks the slots of the free region [lo, hi) in address
+// order for rid, returning its slot offset (-1 when absent) and how
+// many slots it read.
+func (c *Cache) findSlot(data []byte, lo, hi int, rid uint64) (off, probed int) {
+	e := c.entrySize
+	for off = (lo + e - 1) / e * e; off+e <= hi; off += e {
+		probed++
+		if binary.LittleEndian.Uint64(data[off:]) == rid {
+			return off, probed
+		}
+	}
+	return -1, probed
 }
 
 // promoteAt swaps the entry at absolute offset off with a random slot

@@ -3,6 +3,7 @@ package idxcache
 import (
 	"bytes"
 	"sync"
+	"sync/atomic"
 )
 
 // PredLog is the in-memory invalidation log of Section 2.1.2. When a
@@ -16,7 +17,11 @@ type PredLog struct {
 	mu      sync.Mutex
 	keys    [][]byte
 	baseSeq uint32 // sequence number of keys[0] minus one
-	headSeq uint32 // sequence number of the latest appended predicate
+	// headSeq is the sequence number of the latest appended predicate.
+	// It is written under mu, after the predicate is in keys, and read
+	// without it: every Prepare (one per point lookup and per scanned
+	// row) checks it, so a lock here would serialize all readers.
+	headSeq atomic.Uint32
 	limit   int
 }
 
@@ -33,17 +38,13 @@ func (p *PredLog) Append(key []byte) (escalate bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.keys = append(p.keys, append([]byte(nil), key...))
-	p.headSeq++
+	p.headSeq.Add(1)
 	return len(p.keys) > p.limit
 }
 
 // HeadSeq returns the sequence number of the newest predicate. A page
 // whose AppliedSeq equals HeadSeq has nothing pending.
-func (p *PredLog) HeadSeq() uint32 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.headSeq
-}
+func (p *PredLog) HeadSeq() uint32 { return p.headSeq.Load() }
 
 // Pending returns the number of buffered predicates.
 func (p *PredLog) Pending() int {
@@ -77,6 +78,6 @@ func (p *PredLog) MatchRange(afterSeq uint32, min, max []byte) bool {
 func (p *PredLog) Clear() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.baseSeq = p.headSeq
+	p.baseSeq = p.headSeq.Load()
 	p.keys = p.keys[:0]
 }

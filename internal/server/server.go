@@ -692,23 +692,23 @@ func (c *conn) handleQuery(id uint64, m *wire.QueryReq) {
 	if pageSize <= 0 {
 		pageSize = c.s.cfg.PageSize
 	}
-	page := wire.QueryPage{}
+	// Rows go straight from cursor scratch into page bytes; each full
+	// page leaves as one frame.
+	var enc wire.PageEncoder
 	for cur.Next() {
-		page.Rows = append(page.Rows, cur.Row().Clone())
+		enc.Append(cur.Row())
 		if m.WithRIDs {
-			page.RIDs = append(page.RIDs, cur.RID().Pack())
+			enc.AppendRID(cur.RID().Pack())
 		}
-		if len(page.Rows) >= pageSize {
-			c.send(id, wire.TQueryPage, page.Marshal(nil))
-			page = wire.QueryPage{}
+		if enc.Rows() >= pageSize {
+			c.outc <- enc.Frame(id, false)
 		}
 	}
 	if err := cur.Err(); err != nil {
 		c.sendErr(id, err)
 		return
 	}
-	page.Last = true
-	c.send(id, wire.TQueryPage, page.Marshal(nil))
+	c.outc <- enc.Frame(id, true)
 }
 
 func (c *conn) handleCreateTable(id uint64, m *wire.CreateTableReq) {

@@ -77,12 +77,17 @@ func AppendFrame(dst []byte, reqID uint64, typ uint8, payload []byte) []byte {
 	off := len(dst)
 	dst = append(dst, make([]byte, headerSize)...)
 	dst = append(dst, payload...)
-	binary.LittleEndian.PutUint32(dst[off:], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(dst[off+8:], reqID)
-	dst[off+16] = typ
-	crc := crc32.Checksum(dst[off+8:], castagnoli)
-	binary.LittleEndian.PutUint32(dst[off+4:], crc)
+	sealFrame(dst[off:], reqID, typ)
 	return dst
+}
+
+// sealFrame fills in the header of frame, whose payload already
+// follows headerSize reserved bytes.
+func sealFrame(frame []byte, reqID uint64, typ uint8) {
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-headerSize))
+	binary.LittleEndian.PutUint64(frame[8:], reqID)
+	frame[16] = typ
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(frame[8:], castagnoli))
 }
 
 // WriteFrame encodes and writes one frame.

@@ -313,6 +313,69 @@ func (m *QueryPage) Marshal(dst []byte) []byte {
 	return dst
 }
 
+// PageEncoder streams query results into TQueryPage frames without
+// materializing a QueryPage: each row is encoded straight into reused
+// page scratch as the cursor yields it, and Frame emits the page as one
+// exact-size frame, byte-identical to AppendFrame(nil, reqID,
+// TQueryPage, page.Marshal(nil)) for the same rows. The zero value is
+// ready to use.
+type PageEncoder struct {
+	rows  []byte // encoded rows of the open page
+	rids  []byte // encoded RIDs of the open page
+	nRows int
+	nRIDs int
+}
+
+// Append adds one row to the open page. The row's bytes are copied, so
+// it may alias cursor scratch.
+func (e *PageEncoder) Append(row tuple.Row) {
+	e.rows = AppendRow(e.rows, row)
+	e.nRows++
+}
+
+// AppendRID adds one RID to the open page (queries that asked
+// WithRIDs send one per row).
+func (e *PageEncoder) AppendRID(rid uint64) {
+	e.rids = appendUvarint(e.rids, rid)
+	e.nRIDs++
+}
+
+// Rows returns the number of rows in the open page.
+func (e *PageEncoder) Rows() int { return e.nRows }
+
+// Frame returns the open page as a complete, freshly allocated
+// TQueryPage frame of exactly its encoded size, then starts a new
+// page. last marks the final page of the stream.
+func (e *PageEncoder) Frame(reqID uint64, last bool) []byte {
+	var f byte
+	if last {
+		f = 1
+	}
+	n := headerSize + 1 + uvarintLen(uint64(e.nRows)) + len(e.rows) + uvarintLen(uint64(e.nRIDs)) + len(e.rids)
+	if n-headerSize > MaxFrame {
+		panic(fmt.Sprintf("wire: payload %d exceeds MaxFrame", n-headerSize))
+	}
+	frame := make([]byte, headerSize, n)
+	frame = append(frame, f)
+	frame = appendUvarint(frame, uint64(e.nRows))
+	frame = append(frame, e.rows...)
+	frame = appendUvarint(frame, uint64(e.nRIDs))
+	frame = append(frame, e.rids...)
+	sealFrame(frame, reqID, TQueryPage)
+	e.rows, e.rids = e.rows[:0], e.rids[:0]
+	e.nRows, e.nRIDs = 0, 0
+	return frame
+}
+
+// uvarintLen returns the encoded size of v as a uvarint.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
 // Unmarshal decodes the payload.
 func (m *QueryPage) Unmarshal(b []byte) error {
 	r := reader{b: b}

@@ -185,13 +185,16 @@ func TestFacadeAnalyzeTableAndPack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewPackedCodec: %v", err)
 	}
-	var rows []Row
-	err = tb.Scan(func(_ RID, row Row) bool {
-		rows = append(rows, row.Clone())
-		return true
-	})
+	cur, err := tb.Query()
 	if err != nil {
-		t.Fatalf("Scan: %v", err)
+		t.Fatalf("Query: %v", err)
+	}
+	var rows []Row
+	for _, row := range cur.All() {
+		rows = append(rows, row.Clone())
+	}
+	if err := cur.Err(); err != nil {
+		t.Fatalf("Query: %v", err)
 	}
 	buf, err := codec.EncodeRows(rows)
 	if err != nil {
@@ -284,11 +287,14 @@ func TestFacadeScanOrder(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tb.Insert(Row{Int64(int64(i))})
 	}
+	cur, err := tb.Query()
+	if err != nil {
+		t.Fatalf("Query: %v", err)
+	}
 	var got []int64
-	tb.Scan(func(_ RID, row Row) bool {
+	for _, row := range cur.All() {
 		got = append(got, row[0].Int)
-		return true
-	})
+	}
 	if len(got) != 10 {
 		t.Fatalf("scanned %d rows", len(got))
 	}
